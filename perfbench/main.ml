@@ -11,7 +11,8 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe --workload mem-zipf|durable-uniform|explore-flagship \
+    "usage: main.exe --workload \
+     mem-zipf|mem-uniform|durable-uniform|explore-flagship \
      --seed N --seconds S --trace 0|1";
   exit 2
 

@@ -1,4 +1,4 @@
-(* The two service workloads: one load process (this one: one thread,
+(* The service workloads: one load process (this one: one thread,
    one connection per server) against a cluster process hosting all n
    servers on one event loop. *)
 
@@ -15,7 +15,14 @@ type params = {
   nominal_ops_s : float;
       (** Sizes the saturation phase: it runs [nominal_ops_s] x its
           share of [--seconds] operations, whatever the rate reached. *)
-  setups : int;  (** Cluster set-ups per run; [setup_s] is their median. *)
+  segments : int;
+      (** Each on a fresh cluster: set-ups, a fixed-rate phase, a
+          saturation phase, storage stats and a read-back.  Spreading
+          the timed phases over the run lets each figure sample the
+          host's drifting speed over the whole run, not one stretch. *)
+  setups : int;
+      (** Cluster set-ups per segment, the last one kept; [setup_s] is
+          the median over all of the run's set-ups. *)
   restarts : int;
       (** Kill/restart cycles over the state directory; [recover_s] is
           their median (durable workloads only). *)
@@ -31,20 +38,22 @@ let workloads =
         durable = false;
         rate = 1000.0;
         inflight = 256;
-        nominal_ops_s = 7000.0;
-        setups = 7;
+        nominal_ops_s = 9000.0;
+        segments = 8;
+        setups = 2;
         restarts = 0;
         restart_reads = 0;
       } );
     ( "mem-uniform",
       {
-        keys = 1000;
+        keys = 4000;
         zipf = 0.0;
         durable = false;
         rate = 1000.0;
         inflight = 256;
-        nominal_ops_s = 8000.0;
-        setups = 7;
+        nominal_ops_s = 10500.0;
+        segments = 8;
+        setups = 2;
         restarts = 0;
         restart_reads = 0;
       } );
@@ -56,6 +65,7 @@ let workloads =
         rate = 100.0;
         inflight = 64;
         nominal_ops_s = 450.0;
+        segments = 1;
         setups = 3;
         restarts = 9;
         restart_reads = 100;
@@ -66,12 +76,14 @@ let batch_max = 16
 let flush_ms = 1
 let write_ratio = 0.5
 let fixed_share = 0.5  (* of --seconds; the rest is the saturation phase *)
-let sat_rounds = 16
+let sat_windows = 16
 let p99_window = 1000
 
 (* ---- inputs ---- *)
 
-(* Key ranks [0, keys) with uniform or Zipfian popularity. *)
+(* Key ranks [0, keys) with uniform or Zipfian popularity, drawn the
+   way the SDK's open loop draws them (its sampler is internal to
+   [Sdk]: sdk.mli does not export it). *)
 let key_sampler ~keys ~zipf prng =
   if zipf <= 0.0 then fun () -> Sb_util.Prng.int prng keys
   else begin
@@ -99,7 +111,17 @@ type probe = {
       (** Ticket of an open-loop write's first RMW on server 0 → write. *)
   mutable triggers : int;  (** RMWs issued (requests put to the SDK). *)
   mutable op_seq : int;
+  mutable stamps : float array;
+      (** Wall-clock completion times, in completion order, while the
+          saturation phase runs; empty otherwise. *)
+  mutable nstamps : int;
 }
+
+let stamp probe =
+  if probe.nstamps < Array.length probe.stamps then begin
+    probe.stamps.(probe.nstamps) <- Unix.gettimeofday ();
+    probe.nstamps <- probe.nstamps + 1
+  end
 
 (* Run a register body, passing its effects on to the SDK and noting
    the ticket of every RMW it triggers.  Each resumption re-points the
@@ -151,6 +173,7 @@ let instrument probe (alg : R.algorithm) =
             if obj = 0 then Hashtbl.replace probe.obj0_ticket t w)
           (fun () -> alg.R.write ctx v);
         Hashtbl.replace probe.log.Values.acked w (Values.tick probe.log);
+        stamp probe;
         Span.finish span);
     read =
       (fun ctx ->
@@ -160,6 +183,7 @@ let instrument probe (alg : R.algorithm) =
           intercept probe ~span ~op ~on_trigger:(fun _ _ -> ()) (fun () ->
               alg.R.read ctx)
         in
+        stamp probe;
         Span.finish span;
         r);
   }
@@ -276,6 +300,8 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
       obj0_ticket = Hashtbl.create 4096;
       triggers = 0;
       op_seq = 0;
+      stamps = [||];
+      nstamps = 0;
     }
   in
   let algorithm, _ =
@@ -298,7 +324,10 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
      and every SDK run numbers its tickets from 1, so two runs against
      one cluster incarnation must use disjoint client ids: the open
      loop takes [0, inflight), each keyed run the next unused range
-     (its lower slots stay empty). *)
+     (its lower slots stay empty).  A cluster incarnation sees at most
+     three keyed runs (populate, saturation, read-back), so the empty
+     slots the SDK scans number at most a few hundred, the same in
+     every run. *)
   let next_cid = ref p.inflight in
   let keyed workload =
     let slots = Array.length workload in
@@ -355,7 +384,6 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
     let ops = List.init p.keys (fun r -> write_of (key r)) in
     ignore (keyed (spread_over (min 64 p.keys) ops))
   in
-  (* ---- set-up, [p.setups] times; the last cluster is kept ---- *)
   let start_cluster ~capture =
     next_cid := p.inflight;
     Cluster.spawn ~sockdir
@@ -363,84 +391,228 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
       ~ctl ~capture
   in
   let capture_daemon = if trace then 20_000 else 0 in
-  let setup_times = ref [] in
-  let cluster = ref None in
-  for i = 1 to p.setups do
-    rm_rf statedir;
-    if p.durable then mkdir_p statedir;
-    (* Only the kept set-up's writes stay in the log. *)
-    Hashtbl.reset probe.log.Values.key;
-    let c = start_cluster ~capture:capture_daemon in
-    Cluster.wait_listening ~sockdir c;
-    populate ();
-    note "set-up %d done in %.3f s%s" i (Unix.gettimeofday () -. c.Cluster.started)
-      (if p.durable then
-         Printf.sprintf ", %d MB written"
-           (Cluster.io_field c.Cluster.pid "write_bytes" / 1_000_000)
-       else "");
-    setup_times := (Unix.gettimeofday () -. c.Cluster.started) :: !setup_times;
-    if i < p.setups then Cluster.stop c else cluster := Some c
-  done;
-  let c = Option.get !cluster in
-  let setup_s = median (Array.of_list !setup_times) in
   let stats_round () =
     Sdk.fetch_stats ~sockdir ~servers:(List.init Cluster.n Fun.id) ()
   in
   let sum f l = List.fold_left (fun a x -> a + f x) 0 l in
-  let stats0 = stats_round () in
-  let io0 = if p.durable then Cluster.io_field c.Cluster.pid "write_bytes" else 0 in
-  let writes0 = probe.log.Values.next in
-  (* ---- fixed-rate phase (open loop) ---- *)
-  let fixed_ms = int_of_float (seconds *. fixed_share *. 1000.0) in
-  let base = probe.log.Values.next - 1 in
-  cap.on <- true;
-  cap.only0 <- not trace;
-  cap.cap <- (if trace then 200_000 else max_int);
-  (* Tickets restart at 1 in every SDK run: only the open loop's own
-     may be joined with its frames. *)
-  Hashtbl.reset probe.obj0_ticket;
-  let triggers0 = probe.triggers in
-  let span_mark = Span.count () in
-  incr sdk_seed;
-  let ro =
-    Sdk.run_open ~hooks ~algorithm ~seed:!sdk_seed
-      {
-        Sdk.ol_rate = p.rate;
-        ol_duration_ms = fixed_ms;
-        ol_keys = p.keys;
-        ol_zipf = p.zipf;
-        ol_write_ratio = write_ratio;
-        ol_max_inflight = p.inflight;
-        ol_value = (fun i -> Values.make (base + i));
-      }
-      sdk_cfg
+  let cpu () = let t = Unix.times () in t.Unix.tms_utime +. t.Unix.tms_stime in
+  let nkeys = p.keys + Cluster.shards in
+  let m = (2 * Cluster.f) + Cluster.k in
+  let d = Values.d_bits in
+  let ceiling = min ((p.inflight + 1) * m) (m * m) * d / Cluster.k in
+  let floor = m * d / Cluster.k in
+  let all_keys = List.init p.keys key in
+  let check_all ~writes_of ~cut got =
+    List.iter
+      (fun (k, w) ->
+        match Values.check_read probe.log ~writes_of ~cut k w with
+        | None -> ()
+        | Some why -> fail "%s" why)
+      got
   in
-  account ro;
-  note "fixed-rate phase: %d ops" ro.Sdk.ops_completed;
-  cap.on <- false;
-  let open_frames = cap.frames in
-  cap.frames <- [];
-  (* The open loop's keys, from its request frames to server 0. *)
-  let max_w = ref base in
-  Hashtbl.iter (fun _ w -> if w > !max_w then max_w := w) probe.obj0_ticket;
-  Hashtbl.iter (fun w _ -> if w > !max_w then max_w := w) probe.log.Values.invoked;
-  probe.log.Values.next <- !max_w + 1;
-  List.iter
-    (fun (server, b) ->
-      if server = 0 then
-        List.iter
-          (fun rq ->
-            match Hashtbl.find_opt probe.obj0_ticket rq.Wire.rq_ticket with
-            | Some w when w > base ->
-              Hashtbl.replace probe.log.Values.key w rq.Wire.rq_key
-            | _ -> ())
-          (requests_of b))
-    open_frames;
-  for w = base + 1 to !max_w do
-    if Hashtbl.mem probe.log.Values.invoked w && not (Hashtbl.mem probe.log.Values.key w)
-    then fail "open-loop write %d: no request frame names its key" w
+  (* Every set-up and timed phase starts from the same load-process heap
+     state: what an earlier phase left behind is collected first, outside
+     the timed interval. *)
+  let settle () = Gc.full_major () in
+  let segs = float_of_int p.segments in
+  let fixed_ms = int_of_float (seconds *. fixed_share *. 1000.0 /. segs) in
+  let per_slot =
+    max 1
+      (int_of_float
+         (Float.ceil
+            (p.nominal_ops_s *. seconds *. (1.0 -. fixed_share)
+            /. (segs *. float_of_int p.inflight))))
+  in
+  (* Figures gathered over the segments. *)
+  let setup_times = ref [] and lats = ref [] and service_ms = ref [] in
+  let rates = ref [] and peaks = ref [] and quiescents = ref [] and rsss = ref [] in
+  let key_peak_bits = ref 0 in
+  let fixed_ops = ref 0 and fixed_triggers = ref 0 and fixed_frames = ref 0 in
+  let sat_ops = ref 0 and sat_cpu = ref 0.0 and sat_dcpu = ref 0.0 in
+  let frames_sent = ref 0 and retrans = ref 0 in
+  let applied = ref 0 and dedups = ref 0 in
+  let wire_bytes = ref 0 and daemon_frames = ref 0 in
+  let io_bytes = ref 0 and user_bytes = ref 0 in
+  let open_frames = ref [] and daemon_captured = ref [] in
+  let kept = ref None in
+  for seg = 1 to p.segments do
+    (* ---- set-up, [p.setups] times; the last cluster is kept ---- *)
+    let cluster = ref None in
+    for i = 1 to p.setups do
+      rm_rf statedir;
+      if p.durable then mkdir_p statedir;
+      (* Only the kept set-up's writes stay in the log. *)
+      Hashtbl.reset probe.log.Values.key;
+      Hashtbl.reset probe.log.Values.invoked;
+      Hashtbl.reset probe.log.Values.acked;
+      settle ();
+      let c = start_cluster ~capture:capture_daemon in
+      Cluster.wait_listening ~sockdir c;
+      populate ();
+      let t = Unix.gettimeofday () -. c.Cluster.started in
+      note "segment %d set-up %d done in %.3f s%s" seg i t
+        (if p.durable then
+           Printf.sprintf ", %d MB written"
+             (Cluster.io_field c.Cluster.pid "write_bytes" / 1_000_000)
+         else "");
+      setup_times := t :: !setup_times;
+      if i < p.setups then Cluster.stop c else cluster := Some c
+    done;
+    let c = Option.get !cluster in
+    let stats0 = stats_round () in
+    let io0 = if p.durable then Cluster.io_field c.Cluster.pid "write_bytes" else 0 in
+    let writes0 = probe.log.Values.next in
+    (* Frame and byte counters over the timed phases only (traced run). *)
+    let dctr0 = if trace then Some (Cluster.dump c) else None in
+    let cap_bytes0 = cap.bytes in
+    (* ---- fixed-rate phase (open loop) ---- *)
+    let base = probe.log.Values.next - 1 in
+    cap.on <- true;
+    cap.only0 <- not trace;
+    cap.cap <- (if trace then 50_000 else max_int);
+    (* Tickets restart at 1 in every SDK run: only the open loop's own
+       may be joined with its frames. *)
+    Hashtbl.reset probe.obj0_ticket;
+    let triggers0 = probe.triggers in
+    let span_mark = Span.count () in
+    settle ();
+    incr sdk_seed;
+    let ro =
+      Sdk.run_open ~hooks ~algorithm ~seed:!sdk_seed
+        {
+          Sdk.ol_rate = p.rate;
+          ol_duration_ms = fixed_ms;
+          ol_keys = p.keys;
+          ol_zipf = p.zipf;
+          ol_write_ratio = write_ratio;
+          ol_max_inflight = p.inflight;
+          ol_value = (fun i -> Values.make (base + i));
+        }
+        sdk_cfg
+    in
+    account ro;
+    note "segment %d fixed-rate phase: %d ops, p50 %.3f ms" seg ro.Sdk.ops_completed
+      (percentile (Array.of_list ro.Sdk.latencies_ms) 50.0);
+    cap.on <- false;
+    let frames = cap.frames in
+    cap.frames <- [];
+    (* The open loop's keys, from its request frames to server 0. *)
+    let max_w = ref base in
+    Hashtbl.iter (fun _ w -> if w > !max_w then max_w := w) probe.obj0_ticket;
+    Hashtbl.iter (fun w _ -> if w > !max_w then max_w := w) probe.log.Values.invoked;
+    probe.log.Values.next <- !max_w + 1;
+    List.iter
+      (fun (server, b) ->
+        if server = 0 then
+          List.iter
+            (fun rq ->
+              match Hashtbl.find_opt probe.obj0_ticket rq.Wire.rq_ticket with
+              | Some w when w > base ->
+                Hashtbl.replace probe.log.Values.key w rq.Wire.rq_key
+              | _ -> ())
+            (requests_of b))
+      frames;
+    for w = base + 1 to !max_w do
+      if Hashtbl.mem probe.log.Values.invoked w && not (Hashtbl.mem probe.log.Values.key w)
+      then fail "open-loop write %d: no request frame names its key" w
+    done;
+    if trace then open_frames := List.rev_append frames !open_frames;
+    lats := ro.Sdk.latencies_ms :: !lats;
+    fixed_ops := !fixed_ops + ro.Sdk.ops_completed;
+    fixed_triggers := !fixed_triggers + (probe.triggers - triggers0);
+    fixed_frames := !fixed_frames + ro.Sdk.frames_sent;
+    (* Time inside the register bodies of the fixed-rate phase. *)
+    (let upto = Span.count () in
+     service_ms :=
+       Span.durations ~from:span_mark ~upto "sdk.write"
+       :: Span.durations ~from:span_mark ~upto "sdk.read"
+       :: !service_ms);
+    (* ---- saturation phase: one closed-loop run of [inflight] slots ---- *)
+    let ops =
+      List.init (p.inflight * per_slot) (fun _ ->
+          let k = key (sample_key ()) in
+          if Sb_util.Prng.float op_prng 1.0 < write_ratio then write_of k
+          else (k, Sb_sim.Trace.Read))
+    in
+    let wl = spread_over p.inflight ops in
+    settle ();
+    let cpu0 = cpu () and dcpu0 = Cluster.cpu_s c.Cluster.pid in
+    probe.stamps <- Array.make (p.inflight * per_slot) 0.0;
+    probe.nstamps <- 0;
+    let t_sat = Unix.gettimeofday () in
+    let rs = keyed wl in
+    sat_cpu := !sat_cpu +. (cpu () -. cpu0);
+    sat_dcpu := !sat_dcpu +. (Cluster.cpu_s c.Cluster.pid -. dcpu0);
+    sat_ops := !sat_ops + rs.Sdk.ops_completed;
+    (* The rate of each of [sat_windows] runs of consecutive completions,
+       equal in number; the run's rate is the median over all segments'
+       windows, so a stall of the host moves a window, not the figure. *)
+    let stamps = Array.sub probe.stamps 0 probe.nstamps in
+    probe.stamps <- [||];
+    let per_window = max 1 (Array.length stamps / sat_windows) in
+    let seg_rates =
+      List.init (Array.length stamps / per_window) (fun i ->
+          let t0 = if i = 0 then t_sat else stamps.((i * per_window) - 1) in
+          float_of_int per_window /. (stamps.(((i + 1) * per_window) - 1) -. t0))
+    in
+    rates := seg_rates @ !rates;
+    note "segment %d saturation phase: %d ops, window rates %s" seg
+      rs.Sdk.ops_completed
+      (String.concat " " (List.map (Printf.sprintf "%.0f") seg_rates));
+    (match (dctr0, if trace then Some (Cluster.dump c) else None) with
+     | Some d0, Some d1 ->
+       wire_bytes := !wire_bytes + (d1.Cluster.bytes - d0.Cluster.bytes);
+       daemon_frames := !daemon_frames + (d1.Cluster.frames - d0.Cluster.frames);
+       daemon_captured := d1.Cluster.captured
+     | _ -> ());
+    wire_bytes := !wire_bytes + (cap.bytes - cap_bytes0);
+    frames_sent := !frames_sent + ro.Sdk.frames_sent + rs.Sdk.frames_sent;
+    retrans := !retrans + ro.Sdk.retransmissions + rs.Sdk.retransmissions;
+    let peak_sampled = max ro.Sdk.peak_sampled_bits rs.Sdk.peak_sampled_bits in
+    (* ---- storage after the timed phases ---- *)
+    let stats1 = stats_round () in
+    if List.length stats1 < Cluster.n then fail "only %d servers answered stats" (List.length stats1);
+    applied := !applied + sum (fun x -> x.Wire.st_applied) stats1 - sum (fun x -> x.Wire.st_applied) stats0;
+    dedups := !dedups + sum (fun x -> x.Wire.st_dedup_hits) stats1 - sum (fun x -> x.Wire.st_dedup_hits) stats0;
+    let peak_bits = max peak_sampled (sum (fun s -> s.Wire.st_max_bits) stats1) in
+    let key_peak =
+      sum
+        (fun s ->
+          List.fold_left (fun a ss -> max a ss.Wire.ss_max_key_bits) 0 s.Wire.st_shards)
+        stats1
+    in
+    if key_peak > ceiling then
+      fail "per-key peak %d bits exceeds the Theorem 2 ceiling %d" key_peak ceiling;
+    if peak_bits > nkeys * ceiling then
+      fail "fleet peak %d bits exceeds %d keys x ceiling %d" peak_bits nkeys ceiling;
+    key_peak_bits := max !key_peak_bits key_peak;
+    peaks := float_of_int peak_bits /. float_of_int (nkeys * d) :: !peaks;
+    (* ---- read-back of every key ---- *)
+    let writes_of = Values.by_key probe.log in
+    let cut = Values.tick probe.log in
+    let got = read_back all_keys in
+    if List.length got <> p.keys then fail "read-back returned %d of %d keys" (List.length got) p.keys;
+    check_all ~writes_of ~cut got;
+    let stats2 = stats_round () in
+    let quiescent_bits = sum (fun s -> s.Wire.st_storage_bits) stats2 in
+    if quiescent_bits > 2 * nkeys * floor then
+      fail "quiescent storage %d bits exceeds 2x the GC floor %d" quiescent_bits (nkeys * floor);
+    if quiescent_bits < nkeys * floor then
+      fail "quiescent storage %d bits is below the floor %d: state was lost" quiescent_bits (nkeys * floor);
+    quiescents := float_of_int quiescent_bits /. float_of_int (nkeys * d) :: !quiescents;
+    rsss := Cluster.peak_rss_mb c.Cluster.pid :: !rsss;
+    if p.durable then begin
+      let io1 = Cluster.io_field c.Cluster.pid "write_bytes" in
+      note "cluster process wrote %d MB" (io1 / 1_000_000);
+      io_bytes := !io_bytes + (io1 - io0)
+    end;
+    user_bytes := !user_bytes + ((probe.log.Values.next - writes0) * Values.value_bytes);
+    note "segment %d read-back done" seg;
+    if seg < p.segments then Cluster.stop c else kept := Some (c, writes_of)
   done;
-  let lat = Array.of_list ro.Sdk.latencies_ms in
+  let c, writes_of = Option.get !kept in
+  let setup_s = median (Array.of_list !setup_times) in
+  let lat = Array.of_list (List.concat (List.rev !lats)) in
   let p50 = percentile lat 50.0 in
   (* The 99th percentile of each window of [p99_window] consecutive
      completions (each has ten samples above its p99), then the median
@@ -459,96 +631,8 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
     "fixed-rate latency: %d samples, p50 %.3f ms, p99 %.3f ms (median of \
      %d-sample windows; %.3f ms over the whole phase)\n"
     (Array.length lat) p50 p99 p99_window (percentile lat 99.0);
-  let fixed_ops = ro.Sdk.ops_completed in
-  let fixed_triggers = probe.triggers - triggers0 in
-  (* Time inside the register bodies of the fixed-rate phase. *)
-  let service_ms =
-    let upto = Span.count () in
-    Array.map
-      (fun s -> s *. 1000.0)
-      (Array.append
-         (Span.durations ~from:span_mark ~upto "sdk.write")
-         (Span.durations ~from:span_mark ~upto "sdk.read"))
-  in
-  (* ---- saturation phase: rounds of [inflight] closed-loop slots ---- *)
-  let per_slot =
-    max 1
-      (int_of_float
-         (Float.ceil
-            (p.nominal_ops_s *. seconds *. (1.0 -. fixed_share)
-            /. float_of_int (sat_rounds * p.inflight))))
-  in
-  let cpu () = let t = Unix.times () in t.Unix.tms_utime +. t.Unix.tms_stime in
-  let cpu0 = cpu () and dcpu0 = Cluster.cpu_s c.Cluster.pid in
-  let sat_ops = ref 0 and rates = ref [] in
-  let frames_sent = ref ro.Sdk.frames_sent in
-  let retrans = ref ro.Sdk.retransmissions in
-  let peak_sampled = ref ro.Sdk.peak_sampled_bits in
-  for _ = 1 to sat_rounds do
-    let ops =
-      List.init (p.inflight * per_slot) (fun _ ->
-          let k = key (sample_key ()) in
-          if Sb_util.Prng.float op_prng 1.0 < write_ratio then write_of k
-          else (k, Sb_sim.Trace.Read))
-    in
-    let rs = keyed (spread_over p.inflight ops) in
-    sat_ops := !sat_ops + rs.Sdk.ops_completed;
-    rates := (float_of_int rs.Sdk.ops_completed /. rs.Sdk.wall_ms *. 1000.0) :: !rates;
-    frames_sent := !frames_sent + rs.Sdk.frames_sent;
-    retrans := !retrans + rs.Sdk.retransmissions;
-    peak_sampled := max !peak_sampled rs.Sdk.peak_sampled_bits
-  done;
-  note "saturation phase: %d ops, round rates %s" !sat_ops
-    (String.concat " " (List.rev_map (Printf.sprintf "%.0f") !rates));
-  let sat_cpu = cpu () -. cpu0 and sat_dcpu = Cluster.cpu_s c.Cluster.pid -. dcpu0 in
   let ops_s = median (Array.of_list !rates) in
-  let timed_ops = fixed_ops + !sat_ops in
-  (* ---- storage after the timed phases ---- *)
-  let nkeys = p.keys + Cluster.shards in
-  let m = (2 * Cluster.f) + Cluster.k in
-  let d = Values.d_bits in
-  let ceiling = min ((p.inflight + 1) * m) (m * m) * d / Cluster.k in
-  let floor = m * d / Cluster.k in
-  let stats1 = stats_round () in
-  if List.length stats1 < Cluster.n then fail "only %d servers answered stats" (List.length stats1);
-  let peak_bits = max !peak_sampled (sum (fun s -> s.Wire.st_max_bits) stats1) in
-  let key_peak_bits =
-    sum
-      (fun s ->
-        List.fold_left (fun a ss -> max a ss.Wire.ss_max_key_bits) 0 s.Wire.st_shards)
-      stats1
-  in
-  if key_peak_bits > ceiling then
-    fail "per-key peak %d bits exceeds the Theorem 2 ceiling %d" key_peak_bits ceiling;
-  if peak_bits > nkeys * ceiling then
-    fail "fleet peak %d bits exceeds %d keys x ceiling %d" peak_bits nkeys ceiling;
-  (* ---- read-back of every key ---- *)
-  let writes_of = Values.by_key probe.log in
-  let cut = Values.tick probe.log in
-  let check_all ~cut got =
-    List.iter
-      (fun (k, w) ->
-        match Values.check_read probe.log ~writes_of ~cut k w with
-        | None -> ()
-        | Some why -> fail "%s" why)
-      got
-  in
-  let all_keys = List.init p.keys key in
-  let got = read_back all_keys in
-  if List.length got <> p.keys then fail "read-back returned %d of %d keys" (List.length got) p.keys;
-  check_all ~cut got;
-  note "read-back done";
-  let stats2 = stats_round () in
-  let quiescent_bits = sum (fun s -> s.Wire.st_storage_bits) stats2 in
-  if quiescent_bits > 2 * nkeys * floor then
-    fail "quiescent storage %d bits exceeds 2x the GC floor %d" quiescent_bits (nkeys * floor);
-  if quiescent_bits < nkeys * floor then
-    fail "quiescent storage %d bits is below the floor %d: state was lost" quiescent_bits (nkeys * floor);
-  let rss_mb = Cluster.peak_rss_mb c.Cluster.pid in
-  let io1 = if p.durable then Cluster.io_field c.Cluster.pid "write_bytes" else 0 in
-  if p.durable then note "cluster process wrote %d MB" (io1 / 1_000_000);
-  let user_bytes = (probe.log.Values.next - writes0) * Values.value_bytes in
-  let dctr = Cluster.dump c in
+  let timed_ops = !fixed_ops + !sat_ops in
   (* ---- kill / restart cycles ---- *)
   let recover_times = ref [] in
   let prev = ref c in
@@ -564,7 +648,7 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
       if i = p.restarts then all_keys
       else List.init p.restart_reads (fun _ -> key (Sb_util.Prng.int op_prng p.keys))
     in
-    check_all ~cut:kill_at (first @ read_back ks);
+    check_all ~writes_of ~cut:kill_at (first @ read_back ks);
     prev := c'
   done;
   Cluster.stop !prev;
@@ -584,7 +668,7 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
       let calls name = per name (fun (n, _, _) -> float_of_int n) in
       let all_ops = float_of_int (probe.op_seq) in
       (* Wire and server-core replays over the captured frames. *)
-      let frames = List.rev_append open_frames dctr.Cluster.captured in
+      let frames = List.rev_append !open_frames !daemon_captured in
       let dec_t = ref 0.0 and enc_t = ref 0.0 and nframes = ref 0 in
       let cores =
         Array.init Cluster.n (fun i -> Sb_service.Server_core.create (algorithm.R.init_obj i))
@@ -654,28 +738,31 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
             float_of_int (8 * disk) /. float_of_int (nkeys * d) )
         end
       in
-      let applied s = sum (fun x -> x.Wire.st_applied) s in
-      let dedups s = sum (fun x -> x.Wire.st_dedup_hits) s in
-      let timed_frames = float_of_int !frames_sent in
       let tops = float_of_int timed_ops in
+      let per_op x = float_of_int x /. tops in
+      let per_sat x = x /. float_of_int (max 1 !sat_ops) *. 1e6 in
       [
-        ("sdk.cpu_us_per_op", sat_cpu /. float_of_int (max 1 !sat_ops) *. 1e6, "us");
-        ("sdk.service_ms_p50", median service_ms, "ms");
-        ("sdk.reqs_per_frame", float_of_int fixed_triggers /. float_of_int (max 1 ro.Sdk.frames_sent), "count");
-        ("sdk.frames_per_op", timed_frames /. tops, "count");
-        ("sdk.retransmits_per_kop", float_of_int !retrans *. 1000.0 /. tops, "count");
+        ("sdk.cpu_us_per_op", per_sat !sat_cpu, "us");
+        ( "sdk.service_ms_p50",
+          median (Array.map (fun s -> s *. 1000.0) (Array.concat !service_ms)),
+          "ms" );
+        ( "sdk.reqs_per_frame",
+          float_of_int !fixed_triggers /. float_of_int (max 1 !fixed_frames),
+          "count" );
+        ("sdk.frames_per_op", per_op !frames_sent, "count");
+        ("sdk.retransmits_per_kop", per_op !retrans *. 1000.0, "count");
         ("codec.encode_us", mean_us "codec.encode", "us");
         ("codec.decode_us", mean_us "codec.decode", "us");
         ("codec.calls_per_op", (calls "codec.encode" +. calls "codec.decode") /. all_ops, "count");
         ("wire.decode_us", per_frame !dec_t, "us");
         ("wire.encode_us", per_frame !enc_t, "us");
-        ("wire.bytes_per_op", float_of_int (cap.bytes + dctr.Cluster.bytes) /. all_ops, "B");
-        ("daemon.cpu_us_per_op", sat_dcpu /. float_of_int (max 1 !sat_ops) *. 1e6, "us");
-        ("daemon.frames_per_op", float_of_int dctr.Cluster.frames /. all_ops, "count");
-        ("server_core.applies_per_op", float_of_int (applied stats1 - applied stats0) /. tops, "count");
-        ("server_core.dedup_hits_per_kop", float_of_int (dedups stats1 - dedups stats0) *. 1000.0 /. tops, "count");
+        ("wire.bytes_per_op", per_op !wire_bytes, "B");
+        ("daemon.cpu_us_per_op", per_sat !sat_dcpu, "us");
+        ("daemon.frames_per_op", per_op !daemon_frames, "count");
+        ("server_core.applies_per_op", per_op !applied, "count");
+        ("server_core.dedup_hits_per_kop", per_op !dedups *. 1000.0, "count");
         ("server_core.apply_us", (if !applies = 0 then 0.0 else !apply_t /. float_of_int !applies *. 1e6), "us");
-        ("storage.hot_key_peak_x", float_of_int key_peak_bits /. float_of_int d, "D");
+        ("storage.hot_key_peak_x", float_of_int !key_peak_bits /. float_of_int d, "D");
         ("trace.ops_s", ops_s, "1/s");
         ("trace.p50_ms", p50, "ms");
       ]
@@ -683,7 +770,7 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
       if not p.durable then []
       else
         [
-        ("persist.write_bytes_per_user_byte", float_of_int (io1 - io0) /. float_of_int (max 1 user_bytes), "ratio");
+        ("persist.write_bytes_per_user_byte", float_of_int !io_bytes /. float_of_int (max 1 !user_bytes), "ratio");
         ("persist.save_ms_per_shard", save_ms, "ms");
         ("persist.load_ms_per_shard", load_ms, "ms");
         ("persist.disk_x", disk_x, "D");
@@ -701,9 +788,9 @@ let run ~name ~(p : params) ~seed ~seconds ~trace =
         ("setup_s", setup_s, "s");
         ("p50_ms", p50, "ms");
         ("ops_s", ops_s, "1/s");
-        ("peak_storage_x", float_of_int peak_bits /. float_of_int (nkeys * d), "D");
-        ("gc_storage_x", float_of_int quiescent_bits /. float_of_int (nkeys * d), "D");
-        ("rss_mb", rss_mb, "MB");
+        ("peak_storage_x", median (Array.of_list !peaks), "D");
+        ("gc_storage_x", median (Array.of_list !quiescents), "D");
+        ("rss_mb", median (Array.of_list !rsss), "MB");
       ]
       @ if p.restarts = 0 then [] else [ ("recover_s", recover_s, "s") ];
     layers;

@@ -93,8 +93,7 @@ def main():
             spread = (q[2] - q[0]) / q[1] if q[1] else float("inf")
             worse = (qb[1] - qa[1]) / qa[1] if better == "lower" \
                 else (qa[1] - qb[1]) / qa[1]
-            spread_ok = name == "setup_s" or max(
-                (x[2] - x[0]) / x[1] for x in (qa, qb)) <= bound
+            spread_ok = max((x[2] - x[0]) / x[1] for x in (qa, qb)) <= bound
             agree = worse <= bound and spread_ok
             ok &= agree
             medians[name] = q[1]
